@@ -2,8 +2,10 @@
 
 Baselines: full dot-product attention, separable attention with a single
 query column, and a sequential state-space scan. The main kernels are the
-gated, masked separable forms: a per-token recurrence and its closed-form
-matrix evaluation built around a shared context vector.
+gated, masked separable forms, one graph node each with a closed-form
+backward: y = M_out ⊙ S(alpha ⊙ M_in ⊙ Q⊙K) + beta ⊙ Q⊙K, where S sums
+over all tokens (matrix form, mask inside) or is a prefix sum in token
+order (recurrent form, mask outside).
 
 All kernels accept arrays or Tensors and return Tensors; gradients flow when
 inputs require them. The kernels here are single-head and work on (L, D)
@@ -155,33 +157,29 @@ def context_vector(Q, K, alpha, m: Mask) -> Tensor:
     return T.sum_axis(weighted, axis=-2, keepdims=True)
 
 
-def vmi_sa_matrix(Q, K, g: GateVector, m: Mask) -> Tensor:
-    """Matrix form: every row receives the same context vector, plus its own
-    beta-scaled local product. Y = expand_L(c) + diag(beta) (Q ⊙ K).
-
-    Fused into a single graph node: the context reduction runs as one einsum
-    pass and the backward uses the closed-form gradients, so each call makes
-    only two token-sized temporaries and timing stays linear in L.
-    """
+def _gated_sum(Q, K, g: GateVector, m: Mask, op: str, mix, mix_t) -> Tensor:
+    """y = mix(alpha, Q⊙K) + beta ⊙ Q⊙K as one graph node, where mix(alpha, x)
+    is M_out ⊙ S(alpha ⊙ M_in ⊙ x) and mix_t(grad) = M_in ⊙ Sᵀ(M_out ⊙ grad) is
+    its adjoint in x. Both return fresh arrays and hold all that differs
+    between the forms: the token sum S and the side the mask sits on."""
     Q, K = astensor(Q), astensor(K)
     alpha, beta = g.alpha, g.beta
     _check_qk_mask(Q, K, alpha, m)
-    M = m.matrix
     qk = Q.data * K.data
-    ctx = np.einsum("t,tn,...tn->...n", alpha.data, M, qk)
     data = beta.data[:, None] * qk
-    data += ctx[..., None, :]
+    data += mix(alpha.data, qk)
     L, D = qk.shape[-2], qk.shape[-1]
 
     def backward_fn(grad):
-        gc = grad.sum(axis=-2)  # all rows share the context, so their grads pool
-        dqk = beta.data[:, None] * grad
-        dqk += gc[..., None, :] * (alpha.data[:, None] * M)
+        dmix = mix_t(grad)
         dalpha = dbeta = None
         if alpha.requires_grad:
-            dalpha = np.einsum("bn,tn,btn->t", gc.reshape(-1, D), M, qk.reshape(-1, L, D))
+            dalpha = np.einsum("btn,btn->t", dmix.reshape(-1, L, D), qk.reshape(-1, L, D))
         if beta.requires_grad:
             dbeta = np.einsum("btn,btn->t", grad.reshape(-1, L, D), qk.reshape(-1, L, D))
+        dmix *= alpha.data[:, None]
+        dqk = beta.data[:, None] * grad
+        dqk += dmix
         return (
             dqk * K.data if Q.requires_grad else None,
             dqk * Q.data if K.requires_grad else None,
@@ -189,31 +187,43 @@ def vmi_sa_matrix(Q, K, g: GateVector, m: Mask) -> Tensor:
             dbeta,
         )
 
-    return T.custom_op(data, (Q, K, alpha, beta), backward_fn, "vmi_sa_matrix")
+    return T.custom_op(data, (Q, K, alpha, beta), backward_fn, op)
+
+
+def vmi_sa_matrix(Q, K, g: GateVector, m: Mask) -> Tensor:
+    """Matrix form: every row receives the same context vector, plus its own
+    beta-scaled local product. Y = expand_L(c) + diag(beta) (Q ⊙ K).
+
+    S is the total over tokens with the mask inside it, computed as one
+    einsum pass, so each call makes only two token-sized temporaries and
+    timing stays linear in L.
+    """
+    M = m.matrix
+    return _gated_sum(
+        Q, K, g, m, "vmi_sa_matrix",
+        lambda alpha, qk: np.einsum("t,tn,...tn->...n", alpha, M, qk)[..., None, :],
+        lambda grad: M * grad.sum(axis=-2, keepdims=True),
+    )
+
+
+def _prefix_sum(x: np.ndarray) -> np.ndarray:
+    """Running sum down the token axis, in token order, written over x: a fresh
+    token-sized array per call costs more than the sum itself at large L."""
+    return np.cumsum(x, axis=-2, out=x)
 
 
 def vmi_sa_recurrent(Q, K, g: GateVector, m: Mask) -> Tensor:
-    """Recurrent form, internally sequential by definition:
-
-        h_i = h_{i-1} + alpha_i (Q_i ⊙ K_i)
-        y_i = M_i ⊙ h_i + beta_i (Q_i ⊙ K_i)
-
-    with h_0 = 0. The token loop preserves the stated summation order, so the
-    result is bitwise equal to a step-by-step evaluation.
-    """
-    Q, K = astensor(Q), astensor(K)
-    _check_qk_mask(Q, K, g.alpha, m)
-    L, D = Q.shape[-2], Q.shape[-1]
-    qk = T.elementwise_mul(Q, K)
-    h = Tensor(np.zeros(Q.shape[:-2] + (D,)))
-    rows = []
-    for i in range(L):
-        qk_i = T.take_index(qk, i, axis=-2)
-        a_i = T.take_index(g.alpha, i, axis=0)
-        b_i = T.take_index(g.beta, i, axis=0)
-        h = T.add(h, T.elementwise_mul(a_i, qk_i))
-        rows.append(T.add(T.elementwise_mul(m.matrix[i], h), T.elementwise_mul(b_i, qk_i)))
-    return T.stack(rows, axis=-2)
+    """Recurrent form, h_i = h_{i-1} + alpha_i (Q_i ⊙ K_i) and
+    y_i = M_i ⊙ h_i + beta_i (Q_i ⊙ K_i) with h_0 = 0: h is a prefix sum with
+    the mask outside it. Its adds run in token order, so the result is
+    bitwise equal to a step-by-step evaluation. The adjoint of the prefix sum
+    is the suffix sum, a prefix sum over the reversed token axis."""
+    M = m.matrix
+    return _gated_sum(
+        Q, K, g, m, "vmi_sa_recurrent",
+        lambda alpha, qk: M * _prefix_sum(alpha[:, None] * qk),
+        lambda grad: np.flip(_prefix_sum(np.flip(M * grad, axis=-2)), axis=-2),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ b=(96, 2), plus a desk-scale "micro"=(8, 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -142,6 +142,17 @@ def variant_config(name: str, **overrides) -> VMINetConfig:
 # parameters
 
 
+def _named(params, prefix: str):
+    """(name, tensor) for each Tensor field in field order, descending into
+    nested dataclasses such as the gates."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            yield f"{prefix}.{f.name}", value
+        elif is_dataclass(value):
+            yield from _named(value, f"{prefix}.{f.name}")
+
+
 @dataclass
 class VmiSaBlockParams:
     dw_kernel: Tensor  # (3, 3, C)
@@ -152,15 +163,7 @@ class VmiSaBlockParams:
     w_out: Tensor  # (D, C)
     gates: GateVector  # alpha, beta of length L
 
-    def named(self, prefix: str):
-        yield f"{prefix}.dw_kernel", self.dw_kernel
-        yield f"{prefix}.norm_gamma", self.norm_gamma
-        yield f"{prefix}.norm_beta", self.norm_beta
-        yield f"{prefix}.w_q", self.w_q
-        yield f"{prefix}.w_k", self.w_k
-        yield f"{prefix}.w_out", self.w_out
-        yield f"{prefix}.gates.alpha", self.gates.alpha
-        yield f"{prefix}.gates.beta", self.gates.beta
+    named = _named
 
 
 @dataclass
@@ -171,12 +174,7 @@ class ConvOnlyBlockParams:
     w_expand: Tensor  # (C, D)
     w_reduce: Tensor  # (D, C)
 
-    def named(self, prefix: str):
-        yield f"{prefix}.dw_kernel", self.dw_kernel
-        yield f"{prefix}.norm_gamma", self.norm_gamma
-        yield f"{prefix}.norm_beta", self.norm_beta
-        yield f"{prefix}.w_expand", self.w_expand
-        yield f"{prefix}.w_reduce", self.w_reduce
+    named = _named
 
 
 @dataclass
@@ -185,9 +183,7 @@ class PatchConvParams:
     b: Tensor  # (C_out,)
     patch: int
 
-    def named(self, prefix: str):
-        yield f"{prefix}.w", self.w
-        yield f"{prefix}.b", self.b
+    named = _named
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -103,36 +104,9 @@ def _parse_depths(text: str) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
-_FIELD_PARSERS = {
-    "data_path": str,
-    "output_dir": str,
-    "val_data_path": str,
-    "variant": str,
-    "base_width": int,
-    "expansion": int,
-    "stage_depths": _parse_depths,
-    "input_size": int,
-    "num_classes": int,
-    "stem_patch": int,
-    "mask_schedule": str,
-    "conv_only": _parse_bool,
-    "recurrent": _parse_bool,
-    "lr_base": float,
-    "weight_decay": float,
-    "beta1": float,
-    "beta2": float,
-    "epochs": int,
-    "warmup_iters": int,
-    "batch_size": int,
-    "label_smoothing": float,
-    "augment": _parse_bool,
-    "seed": int,
-    "checkpoint_every": int,
-    "resume": str,
-    "stop_at_train_acc": float,
-}
-
-assert set(_FIELD_PARSERS) == {f.name for f in fields(TrainConfig)}
+_TYPE_PARSERS = {str: str, int: int, float: float, bool: _parse_bool,
+                 tuple[int, int, int, int]: _parse_depths}
+_FIELD_PARSERS = {name: _TYPE_PARSERS[tp] for name, tp in get_type_hints(TrainConfig).items()}
 
 
 def parse_train_config(path) -> TrainConfig:
@@ -271,9 +245,7 @@ def adamw_step(
 def save_checkpoint(path, model: VMINet, state: OptState | None = None,
                     epoch: int = 0, step: int = 0) -> None:
     cfg = model.cfg
-    blob: dict[str, np.ndarray] = {}
-    for name, p in model.parameters():
-        blob[f"param.{name}"] = p.data
+    blob = {f"param.{name}": p.data for name, p in model.parameters()}
     if state is not None:
         for name in state.m:
             blob[f"adam.m.{name}"] = state.m[name]
@@ -281,58 +253,73 @@ def save_checkpoint(path, model: VMINet, state: OptState | None = None,
         blob["adam.step"] = np.asarray(float(state.step))
     blob["meta.epoch"] = np.asarray(float(epoch))
     blob["meta.step"] = np.asarray(float(step))
-    blob["meta.base_width"] = np.asarray(float(cfg.base_width))
-    blob["meta.expansion"] = np.asarray(float(cfg.expansion))
-    blob["meta.stage_depths"] = np.asarray(cfg.stage_depths, dtype=np.float64)
-    blob["meta.input_resolution"] = np.asarray(cfg.input_resolution, dtype=np.float64)
-    blob["meta.num_classes"] = np.asarray(float(cfg.num_classes))
-    blob["meta.stem_patch"] = np.asarray(float(cfg.stem_patch))
-    blob["meta.conv_only"] = np.asarray(float(cfg.conv_only))
-    blob["meta.recurrent"] = np.asarray(float(cfg.recurrent))
-    blob["meta.norm_eps"] = np.asarray(cfg.norm_eps)
-    codes = [_MASK_CODES[k] for k in cfg.resolved_mask_schedule()]
-    blob["meta.mask_schedule"] = np.asarray(codes, dtype=np.float64)
+    for f in fields(VMINetConfig):
+        value = getattr(cfg, f.name)
+        if f.name == "mask_schedule":
+            value = [_MASK_CODES[k] for k in cfg.resolved_mask_schedule()]
+        blob[f"meta.{f.name}"] = np.asarray(value, dtype=np.float64)
     save_tensors(path, blob)
 
 
+_CONFIG_TYPES = get_type_hints(VMINetConfig)
+
+
+def _config_value(name: str, a: np.ndarray):
+    """A ``meta.<name>`` record as the VMINetConfig field value it encodes."""
+    values = a.reshape(-1).tolist()
+    if name == "mask_schedule":
+        if not set(values) <= _MASK_NAMES.keys():
+            raise ValueError(f"unknown mask code in {values}")
+        return tuple(_MASK_NAMES[c] for c in values)
+    tp = _CONFIG_TYPES[name]
+    if get_origin(tp) is tuple:
+        if len(values) != len(get_args(tp)):
+            raise ValueError(f"expected {len(get_args(tp))} values, got {len(values)}")
+        return tuple(int(v) for v in values)
+    value = a.reshape(()).item()
+    return value if tp is float else tp(int(value))
+
+
+def _integer(a: np.ndarray) -> int:
+    return int(a.reshape(()).item())
+
+
 def load_checkpoint(path) -> tuple[VMINet, OptState | None, int, int]:
+    """Every record must be present and well formed and the config valid;
+    anything else is a FormatError that names the record."""
     blob = load_tensors(path)
 
-    def scalar(name):
+    def record(name, convert):
         if name not in blob:
             raise FormatError(f"checkpoint {path} is missing record {name!r}")
-        return blob[name].reshape(()).item()
+        try:
+            return convert(blob[name])
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"checkpoint {path} record {name!r}: {exc}") from exc
 
-    schedule = tuple(_MASK_NAMES[c] for c in blob["meta.mask_schedule"].reshape(-1).tolist())
-    cfg = VMINetConfig(
-        base_width=int(scalar("meta.base_width")),
-        expansion=int(scalar("meta.expansion")),
-        stage_depths=tuple(int(d) for d in blob["meta.stage_depths"].reshape(-1)),
-        input_resolution=tuple(int(r) for r in blob["meta.input_resolution"].reshape(-1)),
-        num_classes=int(scalar("meta.num_classes")),
-        stem_patch=int(scalar("meta.stem_patch")),
-        mask_schedule=schedule,
-        conv_only=bool(scalar("meta.conv_only")),
-        recurrent=bool(scalar("meta.recurrent")),
-        norm_eps=float(scalar("meta.norm_eps")),
-    )
+    cfg = VMINetConfig(**{
+        f.name: record(f"meta.{f.name}", lambda a: _config_value(f.name, a))
+        for f in fields(VMINetConfig)
+    })
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint {path}: {exc}") from exc
     model = build_vminet(cfg, seed=0)
     state: OptState | None = OptState() if "adam.step" in blob else None
     for name, p in model.parameters():
-        key = f"param.{name}"
-        if key not in blob:
-            raise FormatError(f"checkpoint {path} is missing record {key!r}")
-        if blob[key].shape != p.data.shape:
-            raise FormatError(
-                f"checkpoint record {key!r} has shape {blob[key].shape}, expected {p.data.shape}"
-            )
-        p.data = blob[key]
+        def shaped(a, shape=p.data.shape):
+            if a.shape != shape:
+                raise ValueError(f"has shape {a.shape}, expected {shape}")
+            return a
+
+        p.data = record(f"param.{name}", shaped)
         if state is not None:
-            state.m[name] = blob[f"adam.m.{name}"]
-            state.v[name] = blob[f"adam.v.{name}"]
+            state.m[name] = record(f"adam.m.{name}", shaped)
+            state.v[name] = record(f"adam.v.{name}", shaped)
     if state is not None:
-        state.step = int(scalar("adam.step"))
-    return model, state, int(scalar("meta.epoch")), int(scalar("meta.step"))
+        state.step = record("adam.step", _integer)
+    return model, state, record("meta.epoch", _integer), record("meta.step", _integer)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +353,19 @@ def _to_inputs(images: np.ndarray) -> np.ndarray:
     return images.astype(np.float64) / 255.0 - 0.5
 
 
+def _check_labels(num_classes: int, *datasets: Dataset | None) -> None:
+    for ds in datasets:
+        if ds is not None and ds.labels.size and ds.labels.max() >= num_classes:
+            raise ConfigError(
+                f"dataset has labels up to {ds.labels.max()} but num_classes={num_classes}"
+            )
+
+
 def evaluate(model: VMINet, ds: Dataset, batch_size: int = 256) -> float:
     """Top-1 accuracy, no augmentation, no gradient bookkeeping."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    _check_labels(model.cfg.num_classes, ds)
     correct = 0
     with no_grad():
         for start in range(0, len(ds), batch_size):
@@ -390,19 +388,15 @@ def train(cfg: TrainConfig) -> History:
     cfg.validate()
     train_ds = load_dataset(cfg.data_path)
     val_ds = load_dataset(cfg.val_data_path) if cfg.val_data_path else None
-    if train_ds.labels.size and train_ds.labels.max() >= cfg.num_classes:
-        raise ConfigError(
-            f"dataset has labels up to {train_ds.labels.max()} but num_classes={cfg.num_classes}"
-        )
-
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_labels(cfg.num_classes, train_ds, val_ds)
 
     start_epoch, global_step = 0, 0
     if cfg.resume:
         model, state, start_epoch, global_step = load_checkpoint(cfg.resume)
         if state is None:
             raise FormatError(f"checkpoint {cfg.resume} has no optimizer state; cannot resume")
+        if start_epoch >= cfg.epochs:
+            raise ConfigError(f"checkpoint {cfg.resume} is at epoch {start_epoch} of {cfg.epochs}")
     else:
         model = build_vminet(model_config(cfg), seed=cfg.seed)
         state = init_opt_state(model.parameters())
@@ -411,7 +405,11 @@ def train(cfg: TrainConfig) -> History:
     n = len(train_ds)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
+    if cfg.warmup_iters > total_steps:
+        raise ConfigError(f"warmup_iters {cfg.warmup_iters} exceeds the {total_steps} steps")
 
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     history = History(metrics_path=str(out_dir / "metrics.csv"))
     metrics_file = open(history.metrics_path, "w", newline="")
     writer = csv.writer(metrics_file)
@@ -443,10 +441,7 @@ def train(cfg: TrainConfig) -> History:
                     p.grad = None
                 backward(loss)
                 last_lr = cosine_lr(global_step, total_steps, cfg.warmup_iters, cfg.lr_base)
-                grads = {
-                    name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                    for name, p in params
-                }
+                grads = {name: p.grad for name, p in params if p.grad is not None}
                 adamw_step(params, grads, state, last_lr, cfg.weight_decay,
                            (cfg.beta1, cfg.beta2))
                 global_step += 1
@@ -461,10 +456,8 @@ def train(cfg: TrainConfig) -> History:
             stats = EpochStats(epoch + 1, global_step, last_lr, train_loss, train_acc,
                                val_acc, seconds)
             history.epochs.append(stats)
-            writer.writerow([
-                stats.epoch, stats.step, _format(stats.lr), _format(stats.train_loss),
-                _format(stats.train_acc), _format(stats.val_acc), _format(stats.seconds),
-            ])
+            row = astuple(stats)
+            writer.writerow([*row[:2], *map(_format, row[2:])])
             metrics_file.flush()
             if cfg.checkpoint_every and (epoch + 1) % cfg.checkpoint_every == 0:
                 ck = out_dir / f"checkpoint_{epoch + 1:04d}.vmin"

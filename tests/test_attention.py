@@ -217,6 +217,23 @@ def test_vmi_sa_recurrent_bitwise_equals_step_loop():
         out = vmi_sa_recurrent(Q, K, g, m).data
         expected = recurrent_oracle(Q, K, g.alpha.data, g.beta.data, m.matrix)
         assert np.array_equal(out, expected)
+        # training runs batched (B, L, D) tokens through the same kernel
+        Qb, Kb = rand(rng, 3, L, D), rand(rng, 3, L, D)
+        out = vmi_sa_recurrent(Qb, Kb, g, m).data
+        for b in range(3):
+            expected = recurrent_oracle(Qb[b], Kb[b], g.alpha.data, g.beta.data, m.matrix)
+            assert np.array_equal(out[b], expected), (kind, b)
+
+
+def test_both_forms_are_one_graph_node():
+    rng = np.random.default_rng(61)
+    L, D = 6, 4
+    q, k = Tensor(rand(rng, 2, L, D), requires_grad=True), Tensor(rand(rng, 2, L, D))
+    g = random_gates(rng, L)
+    for kernel in (vmi_sa_matrix, vmi_sa_recurrent):
+        out = kernel(q, k, g, build_mask("banded", L, D))
+        assert out.op == kernel.__name__
+        assert all(p.op is None for p in out._parents)  # Q, K and the gates are leaves
 
 
 def test_vmi_sa_recurrent_state_accumulates_only_previous_tokens():
@@ -249,31 +266,29 @@ def test_vmi_sa_gradients_flow_and_match_closed_form():
     assert_allclose(Q.grad, expected, rtol=1e-12)
 
 
-def test_vmi_sa_matrix_full_grad_check():
-    # the kernel's backward is hand-written, so check all four parents
-    rng = np.random.default_rng(58)
-    L, D = 5, 4
-    m = build_mask("block_diagonal", L, D)
-    w = Tensor(rand(rng, L, D))
+def check_all_four_parents(kernel, rng, shape, kind):
+    """grad_check one kernel on Q, K, alpha and beta: its backward is hand-written."""
+    L, D = shape[-2], shape[-1]
+    m = build_mask(kind, L, D)
+    w = Tensor(rand(rng, *shape))
 
     def loss(q, k, a, b):
-        return (vmi_sa_matrix(q, k, GateVector(a, b), m) * w).sum()
+        return (kernel(q, k, GateVector(a, b), m) * w).sum()
 
-    report = grad_check(loss, [rand(rng, L, D), rand(rng, L, D), rand(rng, L), rand(rng, L)])
-    assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+    report = grad_check(loss, [rand(rng, *shape), rand(rng, *shape), rand(rng, L), rand(rng, L)])
+    assert report.passed, f"{kernel.__name__}: max rel error {report.max_rel_error:.3e}"
+
+
+def test_vmi_sa_matrix_full_grad_check():
+    # both forms run through the same hand-written backward
+    for kernel in (vmi_sa_matrix, vmi_sa_recurrent):
+        check_all_four_parents(kernel, np.random.default_rng(58), (5, 4), "block_diagonal")
 
 
 def test_vmi_sa_matrix_batched_grad_check():
-    rng = np.random.default_rng(59)
-    B, L, D = 2, 4, 3
-    m = build_mask("banded", L, D)
-    w = Tensor(rand(rng, B, L, D))
-
-    def loss(q, k, a, b):
-        return (vmi_sa_matrix(q, k, GateVector(a, b), m) * w).sum()
-
-    report = grad_check(loss, [rand(rng, B, L, D), rand(rng, B, L, D), rand(rng, L), rand(rng, L)])
-    assert report.passed, f"max rel error {report.max_rel_error:.3e}"
+    # both forms run through the same hand-written backward
+    for kernel in (vmi_sa_matrix, vmi_sa_recurrent):
+        check_all_four_parents(kernel, np.random.default_rng(59), (2, 4, 3), "banded")
 
 
 def test_kernels_validate_gate_and_mask_shapes():

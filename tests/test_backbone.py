@@ -221,6 +221,17 @@ def test_vmi_block_recurrent_path_agrees_with_kernel_choice():
     assert not np.allclose(a, b)
 
 
+def test_both_attention_forms_build_graphs_of_one_size():
+    # each form is one graph node per block, so the recurrent path adds no
+    # per-token nodes to a training step
+    x = np.random.default_rng(77).random((2, 32, 32, 3))
+    sizes = [
+        len(T._topo_order(build_vminet(variant_config("micro", recurrent=r)).forward(x)))
+        for r in (False, True)
+    ]
+    assert sizes[0] == sizes[1]
+
+
 def test_vmi_block_rejects_wrong_gate_length():
     rng = np.random.default_rng(75)
     p = fresh_vmi_block(rng, 3, 4, 2, 2)  # gates sized for 12 tokens

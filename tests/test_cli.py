@@ -124,3 +124,39 @@ def test_train_bad_config_exits_two(tmp_path, capsys):
     cfg.write_text("data_path = x\noutput_dir = y\nepochs = soon\n")
     assert cli_main(["train", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def two_class_checkpoint(tmp_path, **meta):
+    from vminet.backbone import build_vminet, variant_config
+    from vminet.checkpoint import load_tensors, save_tensors
+    from vminet.training import save_checkpoint
+
+    path = tmp_path / "two.vmin"
+    save_checkpoint(path, build_vminet(variant_config("micro", num_classes=2), seed=0))
+    blob = load_tensors(path)
+    blob.update({f"meta.{k}": np.asarray(float(v)) for k, v in meta.items()})
+    save_tensors(path, blob)
+    return str(path)
+
+
+def test_eval_bad_batch_size_exits_two(tmp_path, capsys):
+    code = cli_main(["eval", "--checkpoint", two_class_checkpoint(tmp_path),
+                     "--data", "synthetic:n=8,classes=2,seed=1", "--batch-size", "0"])
+    assert code == 2
+    assert "error: batch_size must be >= 1" in capsys.readouterr().err
+
+
+def test_eval_labels_beyond_the_head_exit_two(tmp_path, capsys):
+    code = cli_main(["eval", "--checkpoint", two_class_checkpoint(tmp_path),
+                     "--data", "synthetic:n=20,classes=10,seed=3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: dataset has labels up to 9 but num_classes=2" in captured.err
+    assert "accuracy" not in captured.out
+
+
+def test_eval_checkpoint_with_invalid_config_exits_one(tmp_path, capsys):
+    code = cli_main(["eval", "--checkpoint", two_class_checkpoint(tmp_path, base_width=0),
+                     "--data", "synthetic:n=8,classes=2,seed=1"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err

@@ -346,6 +346,76 @@ def test_checkpoint_detects_shape_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_meta_records_keep_their_names_and_encodings(tmp_path):
+    # files written before the records were derived from the config fields
+    # must still load, so the layout is pinned here record by record
+    from vminet.checkpoint import load_tensors
+
+    model = small_model(recurrent=True)
+    path = tmp_path / "ck.vmin"
+    save_checkpoint(path, model, epoch=3, step=12)
+    meta = {k: v.tolist() for k, v in load_tensors(path).items() if k.startswith("meta.")}
+    codes = {"none": 0.0, "lower_triangular": 1.0, "banded": 2.0, "block_diagonal": 3.0}
+    assert meta == {
+        "meta.epoch": 3.0,
+        "meta.step": 12.0,
+        "meta.base_width": 8.0,
+        "meta.expansion": 2.0,
+        "meta.stage_depths": [3.0, 3.0, 15.0, 3.0],
+        "meta.input_resolution": [32.0, 32.0],
+        "meta.num_classes": 10.0,
+        "meta.stem_patch": 2.0,
+        "meta.conv_only": 0.0,
+        "meta.recurrent": 1.0,
+        "meta.norm_eps": 1e-6,
+        "meta.mask_schedule": [codes[k] for k in model.cfg.resolved_mask_schedule()],
+    }
+
+
+def corrupted_checkpoint(tmp_path, edit):
+    from vminet.checkpoint import load_tensors, save_tensors
+
+    model = small_model()
+    params = list(model.parameters())
+    path = tmp_path / "ck.vmin"
+    save_checkpoint(path, model, init_opt_state(params))
+    blob = load_tensors(path)
+    edit(blob)
+    save_tensors(path, blob)
+    return path
+
+
+@pytest.mark.parametrize("record", [
+    "meta.mask_schedule", "meta.stage_depths", "meta.input_resolution",
+    "adam.m.stem.w", "meta.epoch",
+])
+def test_checkpoint_missing_record_is_format_error(tmp_path, record):
+    path = corrupted_checkpoint(tmp_path, lambda blob: blob.pop(record))
+    with pytest.raises(FormatError, match=f"missing record '{record}'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("record, value, problem", [
+    ("meta.mask_schedule", np.full(24, 7.0), "unknown mask code"),
+    ("meta.input_resolution", np.array([32.0, 32.0, 32.0]), "expected 2 values"),
+    ("meta.base_width", np.array([8.0, 8.0]), "cannot reshape"),
+    ("meta.epoch", np.asarray(np.nan), "cannot convert"),
+    ("adam.step", np.asarray(np.inf), "cannot convert"),
+    ("adam.v.head.w", np.zeros(3), "has shape"),
+])
+def test_checkpoint_malformed_record_is_format_error(tmp_path, record, value, problem):
+    path = corrupted_checkpoint(tmp_path, lambda blob: blob.update({record: value}))
+    with pytest.raises(FormatError, match=f"'{record}': {problem}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_invalid_config_is_format_error(tmp_path):
+    path = corrupted_checkpoint(tmp_path, lambda blob: blob.update(
+        {"meta.base_width": np.asarray(0.0)}))
+    with pytest.raises(FormatError, match="base_width must be >= 1"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_detects_missing_record(tmp_path):
     from vminet.checkpoint import load_tensors, save_tensors
 
@@ -410,23 +480,53 @@ def test_train_same_seed_same_metrics_modulo_seconds(tmp_path):
     assert [r[:-1] for r in read_csv(c.metrics_path)] != rows_a
 
 
-def test_train_resume_continues_bitwise(tmp_path):
-    straight = train(tiny_cfg(tmp_path, output_dir=str(tmp_path / "s")))
-    first = train(tiny_cfg(tmp_path, output_dir=str(tmp_path / "p1"), checkpoint_every=1))
+def check_resume_continues_bitwise(tmp_path, recurrent):
+    straight = train(tiny_cfg(tmp_path, output_dir=str(tmp_path / "s"), recurrent=recurrent))
+    train(tiny_cfg(tmp_path, output_dir=str(tmp_path / "p1"), checkpoint_every=1,
+                   recurrent=recurrent))
     resumed = train(
         tiny_cfg(
             tmp_path,
             output_dir=str(tmp_path / "p2"),
             resume=str(tmp_path / "p1" / "checkpoint_0001.vmin"),
+            recurrent=recurrent,
         )
     )
     sm, *_ = load_checkpoint(straight.final_checkpoint)
     rm, *_ = load_checkpoint(resumed.final_checkpoint)
+    assert rm.cfg.recurrent is recurrent
     for (name, p), (_, q) in zip(sm.parameters(), rm.parameters()):
         assert np.array_equal(p.data, q.data), name
     # resumed run logs only the remaining epoch
     assert [r.epoch for r in resumed.epochs] == [2]
     assert [r.epoch for r in straight.epochs] == [1, 2]
+
+
+def test_train_resume_continues_bitwise(tmp_path):
+    for recurrent in (False, True):  # both attention forms, in their own run directories
+        check_resume_continues_bitwise(tmp_path / f"recurrent={recurrent}", recurrent)
+
+
+def run_files(run_dir):
+    return {name: (run_dir / name).read_bytes() for name in ("metrics.csv", "model.vmin")}
+
+
+def test_train_refuses_finished_resume_before_touching_the_run(tmp_path):
+    first = train(tiny_cfg(tmp_path))
+    run_dir = tmp_path / "run"
+    before = run_files(run_dir)
+    with pytest.raises(ConfigError, match="at epoch 2 of 2"):
+        train(tiny_cfg(tmp_path, resume=first.final_checkpoint))
+    assert run_files(run_dir) == before
+
+
+def test_train_refuses_warmup_beyond_total_steps_before_touching_the_run(tmp_path):
+    train(tiny_cfg(tmp_path))
+    run_dir = tmp_path / "run"
+    before = run_files(run_dir)
+    with pytest.raises(ConfigError, match="warmup_iters 5"):
+        train(tiny_cfg(tmp_path, warmup_iters=5))  # 2 epochs of 2 steps
+    assert run_files(run_dir) == before
 
 
 def test_train_stop_at_train_acc_breaks_early(tmp_path):
@@ -450,6 +550,10 @@ def test_train_rejects_label_overflow(tmp_path):
     cfg = tiny_cfg(tmp_path, data_path="synthetic:n=8,classes=4,seed=5", num_classes=2)
     with pytest.raises(ConfigError, match="num_classes"):
         train(cfg)
+    cfg = tiny_cfg(tmp_path, val_data_path="synthetic:n=8,classes=4,seed=6", num_classes=2)
+    with pytest.raises(ConfigError, match="num_classes"):
+        train(cfg)
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_reports_nonfinite_loss(tmp_path):
@@ -467,3 +571,13 @@ def test_evaluate_counts_top1(tmp_path):
     acc = evaluate(model, ds, batch_size=5)
     assert 0.0 <= acc <= 1.0
     assert_allclose(evaluate(model, ds, batch_size=12), acc, rtol=1e-12)
+
+
+def test_evaluate_rejects_bad_batch_size_and_labels():
+    from vminet.data import synthetic_dataset
+
+    model = small_model(num_classes=2)
+    with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
+        evaluate(model, synthetic_dataset(n=4, classes=2, seed=2), batch_size=0)
+    with pytest.raises(ConfigError, match="labels up to 9 but num_classes=2"):
+        evaluate(model, synthetic_dataset(n=40, classes=10, seed=2))

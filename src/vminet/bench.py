@@ -7,19 +7,23 @@ interquartile range. A least-squares line through (log L, log median)
 summarizes how cost grows with sequence length; its slope comes with a
 95% confidence half-width so flat or noisy fits are visible.
 
-BLAS pools are pinned to a single thread while timing (when threadpoolctl
-is importable) to stabilize variance.
+BLAS pools are pinned to a single thread while timing, to stabilize
+variance: through threadpoolctl when it is importable, otherwise through the
+thread-count setter of the OpenBLAS that numpy links. The report records the
+effective thread count, or "unpinned" when neither is available.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.linalg._umath_linalg
 
 from .attention import GateVector, separable_self_attention, softmax_self_attention, \
     vmi_sa_matrix, vmi_sa_recurrent
@@ -75,6 +79,7 @@ class ScalingReport:
     rows: list[BenchRow] = field(default_factory=list)
     slope: float = float("nan")
     slope_halfwidth: float = float("nan")
+    blas_threads: int | str = "unpinned"
 
 
 def fit_loglog_slope(lengths, medians) -> tuple[float, float]:
@@ -94,13 +99,45 @@ def fit_loglog_slope(lengths, medians) -> tuple[float, float]:
     return slope, _T95.get(n - 2, 1.96) * se
 
 
+def _openblas_threads():
+    """The (getter, setter) of the thread count of the OpenBLAS that numpy
+    links, looked up through numpy's linear-algebra extension; None when it
+    exports neither the scipy-openblas nor the plain OpenBLAS names."""
+    try:
+        lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+    except OSError:  # pragma: no cover - depends on the numpy build
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None  # pragma: no cover - depends on the numpy build
+
+
 @contextlib.contextmanager
 def _single_threaded():
-    if threadpool_limits is None:
-        yield
-    else:
+    """Pin this process's BLAS pool to one thread for the block, and yield
+    the effective thread count, or "unpinned" when it cannot be pinned. The
+    OpenBLAS fallback restores the earlier count afterwards."""
+    if threadpool_limits is not None:
         with threadpool_limits(limits=1):
-            yield
+            yield 1
+        return
+    blas = _openblas_threads()
+    if blas is None:  # pragma: no cover - depends on the numpy build
+        yield "unpinned"
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield get()
+    finally:
+        put(before)
 
 
 def bench_scaling(
@@ -132,7 +169,7 @@ def bench_scaling(
 
     report = ScalingReport(kernel=name, dim=dim, reps=reps)
     rng = np.random.default_rng(np.random.SeedSequence([0xBE, seed]))
-    with no_grad(), _single_threaded():
+    with no_grad(), _single_threaded() as report.blas_threads:
         if warmup > 0:
             # heat allocator arenas at the largest size first, so the first
             # timed lengths are not penalized by cold page faults

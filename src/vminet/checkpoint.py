@@ -73,7 +73,13 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = reader.u32()
-        name = reader.take(name_len).decode("utf-8")
+        offset = reader.pos
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"record name at byte offset {offset} in {path} is not utf-8: {exc.reason}"
+            ) from exc
         rank = reader.u32()
         extents = struct.unpack(f"<{rank}Q", reader.take(8 * rank))
         n_elems = 1

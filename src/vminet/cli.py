@@ -81,7 +81,8 @@ def _cmd_bench(args) -> int:
     lengths = [int(part) for part in args.lengths.split(",") if part.strip()]
     report = bench_scaling(args.kernel, lengths=lengths, dim=args.dim, reps=args.reps,
                            seed=args.seed)
-    print(f"kernel={report.kernel} D={report.dim} reps={report.reps}")
+    print(f"kernel={report.kernel} D={report.dim} reps={report.reps} "
+          f"blas_threads={report.blas_threads}")
     for row in report.rows:
         print(f"  L={row.L:<6d} median={row.median_s:.6e}s iqr={row.iqr_s:.3e}s")
     print(f"log-log slope: {report.slope:.3f} +/- {report.slope_halfwidth:.3f} (95%)")

@@ -11,6 +11,7 @@ there is no accumulation across calls.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -344,79 +345,114 @@ def stack(tensors, axis: int = 0) -> Tensor:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Row means and variances are matrix-vector products with a ``1/C``
+    vector. The affine, ``dgamma`` and ``dbeta`` work on (W, C) lines of
+    ``W * C`` entries with gamma and beta tiled W times, so their inner
+    loops are the length of a whole line rather than of C.
+    """
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x, gamma, beta = astensor(x), astensor(gamma), astensor(beta)
-    c = x.shape[-1] if x.ndim else 0
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise DimensionError(f"layer_norm needs a non-empty channel axis, got shape {x.shape}")
+    c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match channels ({c},)"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    k = x.shape[-2] if x.ndim > 1 else 1  # channel vectors per line
+    avg = np.full(c, 1.0 / c)
+    rows = x.data.reshape(-1, c)
+    xc = rows - (rows @ avg)[:, None]
+    inv = (1.0 / np.sqrt((xc * xc) @ avg + eps))[:, None]
     xhat = xc * inv
-    data = gamma.data * xhat + beta.data
+    gamma_line = np.tile(gamma.data, k)
+    data = xhat.reshape(-1, k * c) * gamma_line
+    data += np.tile(beta.data, k)
 
     def backward_fn(g):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgamma, dbeta
+        g_lines = g.reshape(-1, k * c)
+        ones = np.ones(g_lines.shape[0])
+        dgamma = (ones @ (g_lines * xhat.reshape(-1, k * c))).reshape(k, c).sum(axis=0)
+        dbeta = (ones @ g_lines).reshape(k, c).sum(axis=0)
+        dxhat = (g_lines * gamma_line).reshape(-1, c)
+        dx = inv * (dxhat - (dxhat @ avg)[:, None] - xhat * ((dxhat * xhat) @ avg)[:, None])
+        return dx.reshape(x.data.shape), dgamma, dbeta
 
-    return _result(data, (x, gamma, beta), backward_fn, "layer_norm")
+    return _result(data.reshape(x.data.shape), (x, gamma, beta), backward_fn, "layer_norm")
+
+
+def _pad_lines(a: np.ndarray, n: int, ph: int, pw: int) -> np.ndarray:
+    """(..., H, W, C) zero padded to (N, H + 2ph, (W + 2pw) * C): one row of
+    the result is one padded (W, C) line."""
+    h, w, c = a.shape[-3:]
+    out = np.zeros((n, h + 2 * ph, (w + 2 * pw) * c))
+    out[:, ph : ph + h, pw * c : (pw + w) * c] = a.reshape(n, h, w * c)
+    return out
+
+
+def _tap_sum(padded: np.ndarray, taps: np.ndarray, h: int, c: int) -> np.ndarray:
+    """sum over taps (a, b) of ``padded[:, a:a+h, b*c : b*c + W*c] * taps[a, b]``,
+    accumulated in place in tap order, with one reused temporary."""
+    kh, kw, wc = taps.shape
+    out = np.multiply(padded[:, :h, :wc], taps[0, 0])
+    tmp = np.empty_like(out)
+    for a in range(kh):
+        for b in range(kw):
+            if a or b:
+                out += np.multiply(padded[:, a : a + h, b * c : b * c + wc], taps[a, b], out=tmp)
+    return out
 
 
 def depthwise_conv2d(x, kernel) -> Tensor:
     """Per-channel 2-D convolution, stride 1, zero 'same' padding.
 
     x: (..., H, W, C); kernel: (kh, kw, C) with odd kh, kw.
+
+    The input is padded once and viewed as (N, H + kh - 1, (W + kw - 1) * C)
+    rows, and each kernel tap, tiled W times, multiplies a whole (W, C)
+    line, so every inner loop is W * C long. The input gradient is the same
+    tap sum over the padded output gradient with the kernel mirrored; each
+    kernel-tap gradient is a ones-vector product over lines, then a sum over W.
     """
     x, kernel = astensor(x), astensor(kernel)
     if x.ndim < 3:
         raise DimensionError(f"depthwise_conv2d input needs (..., H, W, C), got {x.shape}")
     if kernel.ndim != 3:
         raise DimensionError(f"depthwise kernel needs (kh, kw, C), got {kernel.shape}")
-    kh, kw, kc = kernel.shape
+    kh, kw, c = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigError(f"depthwise kernel extents must be odd, got ({kh}, {kw})")
-    if kc != x.shape[-1]:
+    if c != x.shape[-1]:
         raise DimensionError(
             f"channel mismatch: input {x.shape} vs kernel {kernel.shape}"
         )
     h, w = x.shape[-3], x.shape[-2]
-    ph, pw = kh // 2, kw // 2
-    pad = [(0, 0)] * (x.ndim - 3) + [(ph, ph), (pw, pw), (0, 0)]
-    xp = np.pad(x.data, pad)
-    out = np.zeros_like(x.data)
-    for a in range(kh):
-        for b in range(kw):
-            out += xp[..., a : a + h, b : b + w, :] * kernel.data[a, b]
+    n = math.prod(x.shape[:-3])
+    wc = w * c
+    taps = np.tile(kernel.data[:, :, None, :], (1, 1, w, 1)).reshape(kh, kw, wc)
+    xp = _pad_lines(x.data, n, kh // 2, kw // 2)
+    out = _tap_sum(xp, taps, h, c)
 
     def backward_fn(g):
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        dk = np.zeros_like(kernel.data) if kernel.requires_grad else None
-        lead = tuple(range(g.ndim - 1))
-        for a in range(kh):
-            for b in range(kw):
-                if gxp is not None:
-                    gxp[..., a : a + h, b : b + w, :] += g * kernel.data[a, b]
-                if dk is not None:
-                    dk[a, b] = (xp[..., a : a + h, b : b + w, :] * g).sum(axis=lead)
-        if gxp is None:
-            return None, dk
-        sel = (Ellipsis, slice(ph, ph + h), slice(pw, pw + w), slice(None))
-        return gxp[sel], dk
+        dx = dk = None
+        if x.requires_grad:
+            dx = _tap_sum(_pad_lines(g, n, kh // 2, kw // 2), taps[::-1, ::-1], h, c)
+            dx = dx.reshape(x.data.shape)
+        if kernel.requires_grad:
+            lines = g.reshape(n, h, wc)
+            ones = np.ones(n * h)
+            tmp = np.empty_like(lines)
+            dk = np.empty_like(kernel.data)
+            for a in range(kh):
+                for b in range(kw):
+                    np.multiply(xp[:, a : a + h, b * c : b * c + wc], lines, out=tmp)
+                    dk[a, b] = (ones @ tmp.reshape(-1, wc)).reshape(w, c).sum(axis=0)
+        return dx, dk
 
-    return _result(out, (x, kernel), backward_fn, "depthwise_conv2d")
+    return _result(out.reshape(x.data.shape), (x, kernel), backward_fn, "depthwise_conv2d")
 
 
 # ---------------------------------------------------------------------------

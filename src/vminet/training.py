@@ -361,17 +361,39 @@ def _check_labels(num_classes: int, *datasets: Dataset | None) -> None:
             )
 
 
+# Bytes of stage-0 token activations that one evaluation forward may hold:
+# half of a 4 MiB L2 cache, so a forward's widest activations stay cached
+# between the ops that read them in turn.
+EVAL_CACHE_BYTES = 2 << 20
+
+
+def _eval_piece(cfg: VMINetConfig) -> int:
+    """Samples per evaluation forward: as many as fit their stage-0 (L, D)
+    token activations in ``EVAL_CACHE_BYTES``, and at least one."""
+    h, w = cfg.stage_grids()[0]
+    per_sample = h * w * cfg.expansion * cfg.stage_widths()[0] * 8  # float64
+    return max(1, EVAL_CACHE_BYTES // per_sample)
+
+
 def evaluate(model: VMINet, ds: Dataset, batch_size: int = 256) -> float:
-    """Top-1 accuracy, no augmentation, no gradient bookkeeping."""
+    """Top-1 accuracy, no augmentation, no gradient bookkeeping.
+
+    Each forward takes at most ``batch_size`` samples, and fewer when that
+    many would not fit their stage-0 activations in ``EVAL_CACHE_BYTES``
+    (64 samples for ``micro``): a forward over more samples spends its time
+    on memory traffic. Splitting a batch moves a sample's logits by rounding
+    at most, and the tests pin that it changes no prediction.
+    """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     _check_labels(model.cfg.num_classes, ds)
+    piece = min(batch_size, _eval_piece(model.cfg))
     correct = 0
     with no_grad():
-        for start in range(0, len(ds), batch_size):
-            x = _to_inputs(ds.images[start : start + batch_size])
+        for start in range(0, len(ds), piece):
+            x = _to_inputs(ds.images[start : start + piece])
             logits = model.forward(Tensor(x))
-            correct += int((np.argmax(logits.data, axis=1) == ds.labels[start : start + batch_size]).sum())
+            correct += int((np.argmax(logits.data, axis=1) == ds.labels[start : start + piece]).sum())
     return correct / len(ds) if len(ds) else float("nan")
 
 

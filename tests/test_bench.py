@@ -95,6 +95,26 @@ def test_inputs_are_prepared_per_length_outside_timing():
     assert seen.count(((8, 6), (8, 6), (8,))) == 7
 
 
+def test_single_threaded_pins_openblas_and_restores_it(monkeypatch):
+    from vminet import bench
+
+    blas = bench._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy links no OpenBLAS with a thread-count setter")
+    get, put = blas
+    monkeypatch.setattr(bench, "threadpool_limits", None)  # take the ctypes path
+    original = get()
+    put(2)
+    try:
+        with bench._single_threaded() as threads:
+            assert threads == 1 and get() == 1
+        assert get() == 2
+        report = bench_scaling(lambda inp: None, lengths=(8, 16), reps=5, warmup=0)
+        assert report.blas_threads == 1 and get() == 2
+    finally:
+        put(original)
+
+
 def test_vmi_kernels_are_subquadratic_on_default_grid():
     for kernel in ("vmi_sa_matrix", "vmi_sa_recurrent"):
         report = bench_scaling(kernel, reps=5)

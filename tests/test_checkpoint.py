@@ -96,6 +96,18 @@ def test_truncated_file_yields_no_partial_result(tmp_path):
         load_tensors(path)
 
 
+def test_non_utf8_record_name_reports_byte_offset(tmp_path):
+    path = tmp_path / "t.vmin"
+    save_tensors(path, {"x": np.zeros(2)})
+    raw = bytearray(path.read_bytes())
+    name_at = 4 + 4 + 4 + 4  # magic, version, count, name_len
+    assert raw[name_at : name_at + 1] == b"x"
+    raw[name_at] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"record name at byte offset {name_at} .* not utf-8"):
+        load_tensors(path)
+
+
 def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "t.vmin"
     save_tensors(path, {"x": np.zeros(2)})

@@ -58,6 +58,7 @@ def test_bench_writes_csv_with_contract_header(tmp_path, capsys):
     assert all(r["kernel"] == "vmi_sa_matrix" and r["D"] == 8 for r in rows)
     printed = capsys.readouterr().out
     assert "log-log slope:" in printed and f"wrote {out}" in printed
+    assert "blas_threads=" in printed.splitlines()[0]
 
 
 def test_bench_rejects_unknown_kernel():
@@ -117,6 +118,20 @@ def test_eval_corrupt_checkpoint_exits_one(tmp_path, capsys):
                      "--data", "synthetic:n=8,classes=2,seed=1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_non_utf8_record_name_exits_one(tmp_path, capsys):
+    from vminet.checkpoint import save_tensors
+
+    bad = tmp_path / "bad.vmin"
+    save_tensors(bad, {"x": np.zeros(2)})
+    raw = bytearray(bad.read_bytes())
+    raw[16] = 0xFF  # first byte of the first record's name
+    bad.write_bytes(bytes(raw))
+    code = cli_main(["eval", "--checkpoint", str(bad),
+                     "--data", "synthetic:n=8,classes=2,seed=1"])
+    assert code == 1
+    assert "error: record name at byte offset 16" in capsys.readouterr().err
 
 
 def test_train_bad_config_exits_two(tmp_path, capsys):

@@ -129,10 +129,16 @@ def test_take_index_and_stack_are_inverse():
 
 def test_layer_norm_normalizes_last_axis():
     rng = np.random.default_rng(9)
-    x = rand(rng, 4, 6)
-    out = T.layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)), eps=1e-12)
-    assert_allclose(out.data.mean(axis=-1), np.zeros(4), atol=1e-12)
-    assert_allclose(out.data.var(axis=-1), np.ones(4), rtol=1e-6)
+    for shape in [(4, 6), (6,), (2, 3, 5, 6)]:
+        x = rand(rng, *shape)
+        out = T.layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6)), eps=1e-12)
+        assert out.shape == shape
+        assert_allclose(out.data.mean(axis=-1), np.zeros(shape[:-1]), atol=1e-12)
+        assert_allclose(out.data.var(axis=-1), np.ones(shape[:-1]), rtol=1e-6)
+    # the affine is per channel, whatever the leading shape
+    g, b = rand(rng, 6), rand(rng, 6)
+    plain = T.layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6))).data
+    assert_allclose(T.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data, plain * g + b, rtol=1e-13)
 
 
 def test_layer_norm_contracts():
@@ -141,6 +147,8 @@ def test_layer_norm_contracts():
         T.layer_norm(x, Tensor(np.ones(3)), Tensor(np.zeros(3)), eps=0.0)
     with pytest.raises(DimensionError):
         T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        T.layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.ones(0)), Tensor(np.zeros(0)))
 
 
 def depthwise_oracle(x, kernel):
@@ -164,10 +172,13 @@ def depthwise_oracle(x, kernel):
 
 def test_depthwise_conv2d_matches_loop_oracle():
     rng = np.random.default_rng(10)
-    x = rand(rng, 5, 4, 3)
-    k = rand(rng, 3, 3, 3)
-    out = T.depthwise_conv2d(Tensor(x), Tensor(k))
-    assert_allclose(out.data, depthwise_oracle(x, k), rtol=1e-13)
+    # (grid, kernel extents): square, larger than the grid, non-square
+    for (h, w), (kh, kw) in [((5, 4), (3, 3)), ((2, 2), (5, 5)), ((2, 2), (3, 3)),
+                             ((4, 5), (1, 3)), ((4, 5), (5, 3)), ((3, 6), (3, 1))]:
+        x = rand(rng, h, w, 3)
+        k = rand(rng, kh, kw, 3)
+        out = T.depthwise_conv2d(Tensor(x), Tensor(k))
+        assert_allclose(out.data, depthwise_oracle(x, k), rtol=1e-13)
 
 
 def test_depthwise_conv2d_batched_matches_per_sample():
@@ -177,6 +188,14 @@ def test_depthwise_conv2d_batched_matches_per_sample():
     out = T.depthwise_conv2d(Tensor(x), Tensor(k)).data
     for n in range(2):
         assert_allclose(out[n], depthwise_oracle(x[n], k), rtol=1e-13)
+    # two leading dimensions
+    x = rand(rng, 2, 3, 4, 5, 2)
+    k = rand(rng, 3, 5, 2)
+    out = T.depthwise_conv2d(Tensor(x), Tensor(k)).data
+    assert out.shape == x.shape
+    for i in range(2):
+        for j in range(3):
+            assert_allclose(out[i, j], depthwise_oracle(x[i, j], k), rtol=1e-13)
 
 
 def test_depthwise_conv2d_contracts():
@@ -337,9 +356,10 @@ def test_grad_take_index_stack():
 
 def test_grad_layer_norm():
     rng = np.random.default_rng(30)
-    x, g, b = rand(rng, 2, 5), rand(rng, 5), rand(rng, 5)
-    w = rand(rng, 2, 5)
-    check(lambda xx, gg, bb: T.elementwise_mul(T.layer_norm(xx, gg, bb), w).sum(), x, g, b)
+    for shape in [(2, 5), (5,), (2, 3, 2, 5)]:
+        x, g, b = rand(rng, *shape), rand(rng, 5), rand(rng, 5)
+        w = rand(rng, *shape)
+        check(lambda xx, gg, bb: T.elementwise_mul(T.layer_norm(xx, gg, bb), w).sum(), x, g, b)
 
 
 def test_grad_depthwise_conv2d():
@@ -347,6 +367,13 @@ def test_grad_depthwise_conv2d():
     x, k = rand(rng, 4, 3, 2), rand(rng, 3, 3, 2)
     w = rand(rng, 4, 3, 2)
     check(lambda xx, kk: T.elementwise_mul(T.depthwise_conv2d(xx, kk), w).sum(), x, k)
+    # batched, with a non-square kernel
+    x, k = rand(rng, 2, 4, 3, 2), rand(rng, 3, 1, 2)
+    w = rand(rng, 2, 4, 3, 2)
+    check(lambda xx, kk: T.elementwise_mul(T.depthwise_conv2d(xx, kk), w).sum(), x, k)
+    # only the input, then only the kernel, requires a gradient
+    check(lambda xx: T.elementwise_mul(T.depthwise_conv2d(xx, Tensor(k)), w).sum(), x)
+    check(lambda kk: T.elementwise_mul(T.depthwise_conv2d(Tensor(x), kk), w).sum(), k)
 
 
 def test_grad_check_flags_wrong_gradient():

@@ -11,11 +11,13 @@ from numpy.testing import assert_allclose
 
 from vminet.backbone import build_vminet, count_params, variant_config
 from vminet.errors import ConfigError, FormatError, NumericsError
-from vminet.tensor import Tensor, grad_check
+from vminet.tensor import Tensor, grad_check, no_grad
 from vminet.training import (
     METRICS_HEADER,
     OptState,
     TrainConfig,
+    _eval_piece,
+    _to_inputs,
     adamw_step,
     cosine_lr,
     cross_entropy_label_smoothing,
@@ -571,6 +573,23 @@ def test_evaluate_counts_top1(tmp_path):
     acc = evaluate(model, ds, batch_size=5)
     assert 0.0 <= acc <= 1.0
     assert_allclose(evaluate(model, ds, batch_size=12), acc, rtol=1e-12)
+
+    # evaluating in pieces changes no prediction, whatever the batch size
+    rng = np.random.default_rng(5)
+    for _, p in model.parameters():  # non-zero output projections
+        p.data = p.data + 0.05 * rng.standard_normal(p.data.shape)
+    ds = synthetic_dataset(n=150, classes=10, seed=4)
+    with no_grad():
+        logits = model.forward(Tensor(_to_inputs(ds.images))).data
+    expected = float((np.argmax(logits, axis=1) == ds.labels).mean())
+    for batch_size in (1, 7, 64, 65, 256, len(ds) + 1):
+        assert evaluate(model, ds, batch_size=batch_size) == expected, batch_size
+    # a piece's logits are those rows of the whole-batch forward, bitwise
+    piece = _eval_piece(model.cfg)
+    assert piece == 64  # micro: 256 tokens x 16 gate channels x 8 bytes per sample
+    with no_grad():
+        second = model.forward(Tensor(_to_inputs(ds.images[piece : 2 * piece]))).data
+    assert np.array_equal(second, logits[piece : 2 * piece])
 
 
 def test_evaluate_rejects_bad_batch_size_and_labels():

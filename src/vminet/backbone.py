@@ -213,9 +213,8 @@ def patch_conv(x, params: PatchConvParams) -> Tensor:
     hp, wp = h // p, w // p
     t = T.reshape(t, (b, hp, p, wp, p, c))
     t = T.transpose(t, (0, 1, 3, 2, 4, 5))
-    t = T.reshape(t, (b * hp * wp, p * p * c))
+    t = T.reshape(t, (b, hp, wp, p * p * c))
     out = T.add(T.matmul(t, params.w), params.b)
-    out = T.reshape(out, (b, hp, wp, params.w.shape[1]))
     if squeeze:
         out = T.reshape(out, out.shape[1:])
     return out
@@ -227,51 +226,33 @@ def downsample(x, params: PatchConvParams) -> Tensor:
     return patch_conv(x, params)
 
 
-def _project(tokens: Tensor, w: Tensor) -> Tensor:
-    lead = tokens.shape[:-1]
-    flat = T.reshape(tokens, (-1, tokens.shape[-1]))
-    out = T.matmul(flat, w)
-    return T.reshape(out, lead + (w.shape[1],))
-
-
 def vmi_sa_block_forward(x, p: VmiSaBlockParams, m: Mask, eps: float = 1e-6,
                          recurrent: bool = False) -> Tensor:
     """norm -> depthwise conv -> Q/K projection -> gated masked attention over
-    the flattened token grid -> project back -> SiLU -> residual add."""
-    t, squeeze = _as_batched(x)
-    b, h, w, c = t.shape
+    the flattened token grid -> project back -> SiLU -> residual add, on
+    x of shape (..., H, W, C) with H * W tokens."""
+    u = T.depthwise_conv2d(T.layer_norm(x, p.norm_gamma, p.norm_beta, eps), p.dw_kernel)
+    h, w, c = u.shape[-3:]
     L = h * w
     if p.gates.alpha.shape != (L,):
         raise ConfigError(
             f"block gates sized for L={p.gates.alpha.shape[0]} but grid {h}x{w} has {L} tokens"
         )
-    u = T.depthwise_conv2d(T.layer_norm(t, p.norm_gamma, p.norm_beta, eps), p.dw_kernel)
-    tokens = T.reshape(u, (b, L, c))
-    q = _project(tokens, p.w_q)
-    k = _project(tokens, p.w_k)
+    tokens = T.reshape(u, u.shape[:-3] + (L, c))
+    q = T.matmul(tokens, p.w_q)
+    k = T.matmul(tokens, p.w_k)
     attn = (vmi_sa_recurrent if recurrent else vmi_sa_matrix)(q, k, p.gates, m)
-    out = _project(attn, p.w_out)
-    out = T.reshape(out, (b, h, w, c))
-    out = T.add(t, T.silu(out))
-    if squeeze:
-        out = T.reshape(out, out.shape[1:])
-    return out
+    out = T.reshape(T.matmul(attn, p.w_out), u.shape)
+    return T.add(x, T.silu(out))
 
 
 def conv_only_block_forward(x, p: ConvOnlyBlockParams, eps: float = 1e-6) -> Tensor:
     """Ablation block: the same residual shape with the elementwise-product
     and context machinery removed (depthwise conv -> norm -> pointwise expand
-    -> SiLU -> pointwise reduce -> residual)."""
-    t, squeeze = _as_batched(x)
-    b, h, w, c = t.shape
-    u = T.layer_norm(T.depthwise_conv2d(t, p.dw_kernel), p.norm_gamma, p.norm_beta, eps)
-    tokens = T.reshape(u, (b, h * w, c))
-    e = T.silu(_project(tokens, p.w_expand))
-    r = _project(e, p.w_reduce)
-    out = T.add(t, T.reshape(r, (b, h, w, c)))
-    if squeeze:
-        out = T.reshape(out, out.shape[1:])
-    return out
+    -> SiLU -> pointwise reduce -> residual), on x of shape (..., H, W, C)."""
+    u = T.layer_norm(T.depthwise_conv2d(x, p.dw_kernel), p.norm_gamma, p.norm_beta, eps)
+    e = T.silu(T.matmul(u, p.w_expand))
+    return T.add(x, T.matmul(e, p.w_reduce))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +323,6 @@ class VMINet:
                     )
                     masks.append(None)
                 else:
-                    alpha = Tensor(np.full(L, 1.0 / L), requires_grad=True)
-                    beta = Tensor(np.ones(L), requires_grad=True)
                     blocks.append(
                         VmiSaBlockParams(
                             dw_kernel=proj((3, 3, c)),
@@ -352,7 +331,7 @@ class VMINet:
                             w_q=proj((c, d)),
                             w_k=proj((c, d)),
                             w_out=zeros((d, c)),
-                            gates=GateVector(alpha, beta),
+                            gates=GateVector.initial(L, requires_grad=True),
                         )
                     )
                     masks.append(build_mask(schedule[block_index], L, d))

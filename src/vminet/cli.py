@@ -78,7 +78,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    lengths = [int(part) for part in args.lengths.split(",") if part.strip()]
+    try:
+        lengths = [int(part) for part in args.lengths.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--lengths must be comma-separated integers: {exc}") from None
     report = bench_scaling(args.kernel, lengths=lengths, dim=args.dim, reps=args.reps,
                            seed=args.seed)
     print(f"kernel={report.kernel} D={report.dim} reps={report.reps} "

@@ -209,15 +209,20 @@ def silu(x) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """(..., C) @ (C, D) -> (..., D): the leading axes of ``a`` are flattened
+    into the rows of one 2-D product, so a projection of a (B, H, W, C)
+    activation is one graph node."""
     a, b = astensor(a), astensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    rows = a.data.reshape(-1, b.shape[0])
+    data = (rows @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
 
     def backward_fn(g):
+        g = g.reshape(-1, b.shape[1])
         return (
-            g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None,
+            (g @ b.data.T).reshape(a.data.shape) if a.requires_grad else None,
+            rows.T @ g if b.requires_grad else None,
         )
 
     return _result(data, (a, b), backward_fn, "matmul")

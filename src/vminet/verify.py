@@ -18,6 +18,7 @@ from .attention import (GateVector, elementwise_expansion_oracle,
                         vmi_sa_recurrent)
 from .backbone import VmiSaBlockParams, vmi_sa_block_forward
 from .data import synthetic_dataset
+from .errors import ConfigError
 from .tensor import Tensor, grad_check
 from .tensor import depthwise_conv2d, elementwise_mul, layer_norm, log_softmax_axis, \
     matmul, silu, softmax_axis, sum_axis
@@ -294,6 +295,8 @@ def suite_determinism(seed: int) -> SuiteResult:
 
 
 def run_verify_suite(seed: int = 0, trials: int = 200, printer=print) -> list[SuiteResult]:
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     results = [
         suite_oracle_matrix(seed, max(1, trials // 2)),
         suite_oracle_recurrent(seed, max(1, trials // 2)),

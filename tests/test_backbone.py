@@ -230,6 +230,15 @@ def test_both_attention_forms_build_graphs_of_one_size():
         for r in (False, True)
     ]
     assert sizes[0] == sizes[1]
+    # op nodes (tensors with a backward closure) of a micro training loss: each
+    # projection is one matmul node, with no reshapes around it
+    from vminet.training import cross_entropy_label_smoothing
+
+    y = np.arange(2)
+    for kwargs, nodes in (({}, 267), ({"recurrent": True}, 267), ({"conv_only": True}, 171)):
+        model = build_vminet(variant_config("micro", **kwargs))
+        loss = cross_entropy_label_smoothing(model.forward(x), y)
+        assert sum(n._backward is not None for n in T._topo_order(loss)) == nodes, kwargs
 
 
 def test_vmi_block_rejects_wrong_gate_length():
@@ -240,13 +249,30 @@ def test_vmi_block_rejects_wrong_gate_length():
 
 
 def test_blocks_accept_batched_input():
+    from vminet.backbone import ConvOnlyBlockParams
+
     rng = np.random.default_rng(76)
     p = fresh_vmi_block(rng, 3, 3, 2, 2)
     m = build_mask("banded", 9, 4)
-    x = rand(rng, 2, 3, 3, 2)
-    out = vmi_sa_block_forward(x, p, m).data
-    for i in range(2):
-        assert_allclose(out[i], vmi_sa_block_forward(x[i], p, m).data, rtol=1e-14)
+    c = ConvOnlyBlockParams(
+        dw_kernel=Tensor(rand(rng, 3, 3, 2) * 0.1),
+        norm_gamma=Tensor(np.ones(2)),
+        norm_beta=Tensor(np.zeros(2)),
+        w_expand=Tensor(rand(rng, 2, 4) * 0.1),
+        w_reduce=Tensor(rand(rng, 4, 2) * 0.1),
+    )
+    for block in (lambda v: vmi_sa_block_forward(v, p, m), lambda v: conv_only_block_forward(v, c)):
+        x = rand(rng, 2, 3, 3, 2)
+        out = block(x).data
+        for i in range(2):
+            assert_allclose(out[i], block(x[i]).data, rtol=1e-14)
+        # two leading dimensions
+        x = rand(rng, 2, 3, 3, 3, 2)
+        out = block(x).data
+        assert out.shape == x.shape
+        for i in range(2):
+            for j in range(3):
+                assert_allclose(out[i, j], block(x[i, j]).data, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,21 @@ def test_bench_bad_reps_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bench_non_integer_length_exits_two(capsys):
+    code = cli_main(["bench", "--kernel", "vmi_sa_matrix", "--lengths", "256,abc"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'abc'" in err
+
+
+def test_verify_trials_below_one_exits_two(capsys):
+    for trials in ("-4", "0"):
+        assert cli_main(["verify", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and trials in captured.err
+        assert "[PASS]" not in captured.out
+
+
 def test_train_then_eval_round_trip(tmp_path, capsys):
     run_dir = tmp_path / "run"
     cfg = tmp_path / "train.cfg"

@@ -60,6 +60,15 @@ def test_matmul_against_triple_loop():
             for k in range(3):
                 expected[i, j] += a[i, k] * b[k, j]
     assert_allclose(T.matmul(Tensor(a), Tensor(b)).data, expected, rtol=1e-13)
+    # a left operand of higher rank contracts its last axis, keeping the rest
+    a, b = rand(rng, 2, 3, 4), rand(rng, 4, 5)
+    expected = np.zeros((2, 3, 5))
+    for n in range(2):
+        for i in range(3):
+            for j in range(5):
+                for k in range(4):
+                    expected[n, i, j] += a[n, i, k] * b[k, j]
+    assert_allclose(T.matmul(Tensor(a), Tensor(b)).data, expected, rtol=1e-13)
 
 
 def test_matmul_rejects_bad_shapes():
@@ -67,6 +76,10 @@ def test_matmul_rejects_bad_shapes():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     with pytest.raises(DimensionError):
         T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+    with pytest.raises(DimensionError):
+        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3, 2))))
+    with pytest.raises(DimensionError):
+        T.matmul(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((2, 3))))
 
 
 def test_sum_axis_keepdims_and_loop_oracle():
@@ -315,6 +328,8 @@ def test_grad_matmul():
     rng = np.random.default_rng(24)
     w = rand(rng, 4, 2)
     check(lambda a, b: T.matmul(a, b).sum(), rand(rng, 3, 4), w)
+    weights = rand(rng, 2, 3, 2)
+    check(lambda a, b: T.elementwise_mul(T.matmul(a, b), weights).sum(), rand(rng, 2, 3, 4), w)
 
 
 def test_grad_sum_axis():
